@@ -36,21 +36,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/cliflags"
 	"ftspm/internal/experiments"
-	"ftspm/internal/fabric"
-	"ftspm/internal/fabric/wire"
 	"ftspm/internal/report"
 	"ftspm/internal/resultcache"
 )
@@ -69,49 +64,12 @@ func main() {
 // wall-clock and allocation cost of a full RunSweep, so the sweep
 // engine's perf trajectory is tracked across PRs.
 type sweepMeasurement struct {
-	Benchmark  string  `json:"benchmark"`
-	Scale      float64 `json:"scale"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	WallMS     float64 `json:"wall_ms"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Allocs     uint64  `json:"allocs"`
+	Benchmark string  `json:"benchmark"`
+	Scale     float64 `json:"scale"`
+	cliflags.Cost
 	// Cache carries the result-cache counters when -cache was in play,
 	// so warm and cold runs are distinguishable in the perf history.
 	Cache *resultcache.Stats `json:"cache,omitempty"`
-}
-
-// appendSweepMeasurement appends one JSON line describing the sweep
-// that just ran (allocation deltas are process-wide, so run with a
-// quiet process for clean numbers). The record is fsynced before close:
-// append-only history cannot be renamed into place atomically, but it
-// must survive a crash right after the run it measures.
-func appendSweepMeasurement(path string, scale float64, wall time.Duration, before runtime.MemStats, rc *resultcache.Cache) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	m := sweepMeasurement{
-		Benchmark:  "RunSweep",
-		Scale:      scale,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Allocs:     after.Mallocs - before.Mallocs,
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		m.Cache = &cs
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -120,76 +78,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	outDir := fs.String("out", "", "directory for .txt/.csv result files (empty: stdout only)")
 	ablations := fs.Bool("ablations", false, "also run the design-choice ablation studies")
 	jsonPath := fs.String("json", "", "also write a machine-readable sweep summary to this file")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	perfJSON := fs.String("perfjson", "", "append a sweep wall-clock/allocation measurement to this JSON-lines file")
-	checkpoint := fs.String("checkpoint", "", "journal finished sweep jobs to this file (crash-safe campaign)")
-	resume := fs.Bool("resume", false, "skip sweep jobs already journaled in -checkpoint")
-	cachePath := fs.String("cache", "", "memoize sweep jobs in this content-addressed cache file (warm runs skip recomputing)")
-	parallel := fs.Int("parallel", 0, "sweep worker pool size, local or per fabric chunk (0: GOMAXPROCS)")
-	workers := fs.String("workers", "", "comma-separated ftspmd worker URLs: distribute the sweep over the fabric")
-	lease := fs.Duration("lease", 0, "fabric heartbeat lease before a silent worker is declared dead (0: 60s)")
-	auditFrac := fs.Float64("audit-frac", 0, "fraction of fabric results to audit by re-execution on a different executor (0 disables)")
-	auditSeed := fs.Int64("audit-seed", 0, "seed for the deterministic audit job selection")
-	retries := fs.Int("retries", 0, "per-job retries before a sweep job is recorded failed")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-job deadline for sweep jobs (0: none)")
+	var prof cliflags.Profile
+	prof.Register(fs)
+	var cf cliflags.Campaign
+	cf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *scale <= 0 {
 		return campaign.Usagef("-scale must be > 0 (got %g)", *scale)
 	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		return campaign.Usagef("-audit-frac must be a probability in [0, 1] (got %g)", *auditFrac)
-	}
-	if *auditFrac > 0 && *workers == "" {
-		return campaign.Usagef("-audit-frac requires -workers (audits re-execute fabric results)")
-	}
-	cc := experiments.CampaignConfig{
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
-		Workers:    *parallel,
-		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-	}
-	if err := cc.Validate(); err != nil {
+	if err := cf.Open(); err != nil {
 		return err
 	}
-	var rc *resultcache.Cache
-	if *cachePath != "" {
-		var err error
-		rc, err = resultcache.Open(resultcache.Config{Path: *cachePath, Fingerprint: wire.Fingerprint()})
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		defer rc.Close()
-		cc.Cache = rc
+	defer cf.Close()
+	stopProfile, err := prof.Start()
+	if err != nil {
+		return err
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-bench: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 	opts := experiments.Options{Scale: *scale}
 
 	emit := func(name string, t *report.Table) error {
@@ -272,51 +179,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Full-suite sweep (Section V figures), as a crash-safe campaign.
 	fmt.Fprintln(out, "running the 12-workload x 3-structure sweep ...")
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sweepStart := time.Now()
-	var sw *experiments.Sweep
-	var status *experiments.CampaignStatus
-	var runErr error
-	if *workers != "" {
-		sw, status, runErr = fabric.RunSweep(ctx, fabric.Config{
-			Workers:    fabric.ParseWorkers(*workers),
-			Parallel:   *parallel,
-			Lease:      *lease,
-			Retries:    *retries,
-			JobTimeout: *jobTimeout,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-			AuditFrac:  *auditFrac,
-			AuditSeed:  *auditSeed,
-			Cache:      rc,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ftspm-bench: "+format+"\n", args...)
-			},
-		}, opts)
-	} else {
-		sw, status, runErr = experiments.RunSweepCampaign(ctx, opts, cc)
-	}
+	meter := cliflags.StartMeter()
+	sw, status, runErr := cf.RunSweep(ctx, opts)
 	if sw == nil {
 		return runErr // campaign setup failure (checkpoint, flags)
 	}
-	if status.Resumed > 0 {
-		fmt.Fprintf(out, "resumed %d finished jobs from %s\n", status.Resumed, *checkpoint)
-	}
-	fabric.PrintAuditSummary(out, status)
+	cf.PrintStatus(out, status, "sweep job")
 	if runErr != nil || status.Failed > 0 {
 		return salvageSweep(out, sw, status, *jsonPath, runErr)
 	}
-	if *perfJSON != "" {
-		if err := appendSweepMeasurement(*perfJSON, *scale, time.Since(sweepStart), before, rc); err != nil {
+	if prof.PerfJSON != "" {
+		rec := sweepMeasurement{Benchmark: "RunSweep", Scale: *scale, Cost: meter.Cost(), Cache: cf.CacheStats()}
+		if err := prof.Append(rec); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "appended sweep measurement to %s\n", *perfJSON)
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		fmt.Fprintf(out, "result cache: %d hits, %d misses, %d bypasses (%d entries)\n",
-			cs.Hits, cs.Misses, cs.Bypasses, cs.Entries)
+		fmt.Fprintf(out, "appended sweep measurement to %s\n", prof.PerfJSON)
 	}
 	f4, err := experiments.Fig4(sw)
 	if err != nil {
@@ -475,12 +352,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // the process exits non-zero (status 3 when resumable).
 func salvageSweep(out io.Writer, sw *experiments.Sweep, status *experiments.CampaignStatus,
 	jsonPath string, runErr error) error {
-	for _, f := range status.Failures {
-		fmt.Fprintf(out, "sweep job %s failed after %d attempt(s): %s\n", f.ID, f.Attempts, f.Error)
-		if f.Stack != "" {
-			fmt.Fprintf(out, "%s\n", f.Stack)
-		}
-	}
 	fmt.Fprintf(out, "sweep incomplete: %d done, %d failed, %d pending\n",
 		status.Completed, status.Failed, status.Pending)
 	if jsonPath != "" {

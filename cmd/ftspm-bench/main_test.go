@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -89,6 +91,12 @@ func TestRunBenchUsageErrors(t *testing.T) {
 		{"-resume"}, // resume requires -checkpoint
 		{"-scale", "0"},
 		{"-retries", "-2"},
+		{"-job-timeout", "-1s"},
+		// Fabric-only flags without -workers.
+		{"-lease", "5s"},
+		{"-audit-seed", "3"},
+		{"-audit-frac", "0.5"},
+		{"-audit-frac", "-0.1", "-workers", "127.0.0.1:1"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})
@@ -101,4 +109,62 @@ func TestRunBenchUsageErrors(t *testing.T) {
 				args, campaign.ExitCode(err), campaign.ExitUsage, err)
 		}
 	}
+}
+
+// TestRunBenchPerfJSON pins the keys of the -perfjson record, with and
+// without the result cache's counters.
+func TestRunBenchPerfJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two sweeps")
+	}
+	dir := t.TempDir()
+	perf := filepath.Join(dir, "perf.jsonl")
+	args := []string{"-scale", "0.02", "-perfjson", perf}
+	if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	args = append(args, "-cache", filepath.Join(dir, "sweep.cache"))
+	if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	want := []string{
+		"alloc_bytes,allocs,benchmark,gomaxprocs,scale,wall_ms",
+		"alloc_bytes,allocs,benchmark,cache,gomaxprocs,scale,wall_ms",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("perfjson lines = %d, want %d:\n%s", len(lines), len(want), data)
+	}
+	for i, line := range lines {
+		if got := recordKeys(t, line); got != want[i] {
+			t.Errorf("record %d keys %s, want %s", i, got, want[i])
+		}
+		var m sweepMeasurement
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Benchmark != "RunSweep" || m.Scale != 0.02 || m.WallMS <= 0 {
+			t.Errorf("unexpected measurement: %+v", m)
+		}
+	}
+}
+
+// recordKeys returns a -perfjson line's top-level keys, sorted and
+// comma-joined.
+func recordKeys(t *testing.T, line string) string {
+	t.Helper()
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("bad perfjson line %q: %v", line, err)
+	}
+	keys := make([]string, 0, len(rec))
+	for k := range rec {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
 }

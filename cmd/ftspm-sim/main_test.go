@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"ftspm/internal/campaign"
 )
 
 func TestRunSimFTSPM(t *testing.T) {
@@ -42,8 +44,14 @@ func TestRunSimBaselines(t *testing.T) {
 
 func TestRunSimErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-structure", "bogus"}, &buf); err == nil {
-		t.Error("bad structure accepted")
+	for _, args := range [][]string{
+		{"-structure", "bogus"},
+		{"-priority", "bogus"},
+		{"-scale", "0"},
+	} {
+		if err := run(context.Background(), args, &buf); campaign.ExitCode(err) != campaign.ExitUsage {
+			t.Errorf("args %v: exit code %d, want %d (err: %v)", args, campaign.ExitCode(err), campaign.ExitUsage, err)
+		}
 	}
 	if err := run(context.Background(), []string{"-workload", "bogus"}, &buf); err == nil {
 		t.Error("bad workload accepted")
@@ -68,6 +76,10 @@ func TestRunSimWithPlanAndPriority(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-priority", "bogus"}, &buf); err == nil {
 		t.Error("bad priority accepted")
+	}
+	// The name the reports print is accepted back.
+	if err := run(context.Background(), []string{"-workload", "crc32", "-structure", "pure-STT-RAM", "-scale", "0.05"}, &buf); err != nil {
+		t.Fatal(err)
 	}
 	// DMR structure reachable from the CLI.
 	buf.Reset()

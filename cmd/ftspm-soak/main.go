@@ -73,17 +73,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/cliflags"
 	"ftspm/internal/core"
 	"ftspm/internal/experiments"
-	"ftspm/internal/fabric"
 	"ftspm/internal/faults"
-	"ftspm/internal/fabric/wire"
 	"ftspm/internal/report"
 	"ftspm/internal/resultcache"
 	"ftspm/internal/sim"
@@ -106,70 +102,30 @@ func main() {
 // by the lane width so the packed engine's speedup over the scalar
 // simulator is tracked across PRs.
 type soakMeasurement struct {
-	Benchmark  string  `json:"benchmark"`
-	Lanes      int     `json:"lanes"`
-	Trials     int     `json:"trials"`
-	Scale      float64 `json:"scale"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	WallMS     float64 `json:"wall_ms"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Allocs     uint64  `json:"allocs"`
+	Benchmark string  `json:"benchmark"`
+	Lanes     int     `json:"lanes"`
+	Trials    int     `json:"trials"`
+	Scale     float64 `json:"scale"`
+	cliflags.Cost
 	// Cache carries the result-cache counters when -cache was in play,
 	// so warm and cold runs are distinguishable in the perf history.
 	Cache *resultcache.Stats `json:"cache,omitempty"`
 }
 
-// appendSoakMeasurement appends one JSON line describing the campaign
-// that just ran (allocation deltas are process-wide, so run with a
-// quiet process for clean numbers). The record is fsynced before close.
-func appendSoakMeasurement(path string, opts experiments.SoakOptions, wall time.Duration, before runtime.MemStats, rc *resultcache.Cache) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	m := soakMeasurement{
-		Benchmark:  "RunSoakCampaign",
-		Lanes:      opts.Lanes,
-		Trials:     opts.Trials,
-		Scale:      opts.Scale,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Allocs:     after.Mallocs - before.Mallocs,
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		m.Cache = &cs
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
+// parseStructures resolves a comma-separated structure list, where
+// "all" stands for every structure.
 func parseStructures(s string) ([]core.Structure, error) {
 	var out []core.Structure
 	for _, name := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "ftspm":
-			out = append(out, core.StructFTSPM)
-		case "sram", "pure-sram":
-			out = append(out, core.StructPureSRAM)
-		case "stt", "stt-ram", "pure-stt":
-			out = append(out, core.StructPureSTT)
-		case "dmr", "duplication":
-			out = append(out, core.StructDMR)
-		case "all":
+		if strings.EqualFold(strings.TrimSpace(name), "all") {
 			out = append(out, core.AllStructures()...)
-		default:
-			return nil, campaign.Usagef("unknown structure %q (ftspm, sram, stt, dmr, all)", name)
+			continue
 		}
+		st, err := core.ParseStructure(name)
+		if err != nil {
+			return nil, campaign.Usagef("-structures: %w (or all)", err)
+		}
+		out = append(out, st)
 	}
 	return out, nil
 }
@@ -224,19 +180,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	adaptive := fs.Bool("adaptive", false, "arm the adaptive storm defenses (scrub escalation, emergency refresh, bypass)")
 	lanes := fs.Int("lanes", 0, "packed-engine lane width: 0 auto (64), 1 scalar, 2..64 explicit")
 	jsonPath := fs.String("json", "", "also write the reports as JSON to this file")
-	checkpoint := fs.String("checkpoint", "", "journal finished trials to this file (crash-safe campaign)")
-	resume := fs.Bool("resume", false, "skip trials already journaled in -checkpoint")
-	cachePath := fs.String("cache", "", "memoize finished trials in this content-addressed cache file (warm runs skip recomputing)")
-	parallel := fs.Int("parallel", 0, "trial worker pool size, local or per fabric chunk (0: GOMAXPROCS)")
-	workers := fs.String("workers", "", "comma-separated ftspmd worker URLs: distribute the campaign over the fabric")
-	lease := fs.Duration("lease", 0, "fabric heartbeat lease before a silent worker is declared dead (0: 60s)")
-	auditFrac := fs.Float64("audit-frac", 0, "fraction of fabric results to audit by re-execution on a different executor (0 disables)")
-	auditSeed := fs.Int64("audit-seed", 0, "seed for the deterministic audit job selection")
-	retries := fs.Int("retries", 0, "per-trial retries before a trial is recorded failed")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-trial deadline (0: none)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	perfJSON := fs.String("perfjson", "", "append a campaign wall-clock/allocation measurement to this JSON-lines file")
+	var prof cliflags.Profile
+	prof.Register(fs)
+	var cf cliflags.Campaign
+	cf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -252,59 +199,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *adaptive && *noRecovery {
 		return campaign.Usagef("-adaptive needs the recovery subsystem (drop -no-recovery)")
 	}
-	if (*stormHot != 0 || *stormThermal != 1) && !*storm {
-		return campaign.Usagef("-storm-* knobs need -storm")
-	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		return campaign.Usagef("-audit-frac must be a probability in [0, 1] (got %g)", *auditFrac)
-	}
-	if *auditFrac > 0 && *workers == "" {
-		return campaign.Usagef("-audit-frac requires -workers (audits re-execute fabric results)")
-	}
-	cc := experiments.CampaignConfig{
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
-		Workers:    *parallel,
-		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-	}
-	if err := cc.Validate(); err != nil {
-		return err
-	}
-	var rc *resultcache.Cache
-	if *cachePath != "" {
-		var err error
-		rc, err = resultcache.Open(resultcache.Config{Path: *cachePath, Fingerprint: wire.Fingerprint()})
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
+	if !*storm {
+		isStormKnob := func(name string) bool { return strings.HasPrefix(name, "storm-") }
+		if knob := cliflags.FirstSet(fs, isStormKnob); knob != "" {
+			return campaign.Usagef("-%s needs -storm", knob)
 		}
-		defer rc.Close()
-		cc.Cache = rc
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-soak: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-soak: memprofile:", err)
-			}
-		}()
 	}
 	structs, err := parseStructures(*structures)
 	if err != nil {
@@ -318,6 +217,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := cf.Open(); err != nil {
+		return err
+	}
+	defer cf.Close()
+	stopProfile, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 
 	opts := experiments.SoakOptions{
 		Workload:         *workload,
@@ -373,55 +281,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*workload, *trials, *scale, *strike, tgt, mode)
 	}
 
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var reports []*experiments.SoakReport
-	var status *experiments.CampaignStatus
-	var runErr error
-	if *workers != "" {
-		reports, status, runErr = fabric.RunSoak(ctx, fabric.Config{
-			Workers:    fabric.ParseWorkers(*workers),
-			Parallel:   *parallel,
-			Lease:      *lease,
-			Retries:    *retries,
-			JobTimeout: *jobTimeout,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-			AuditFrac:  *auditFrac,
-			AuditSeed:  *auditSeed,
-			Cache:      rc,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ftspm-soak: "+format+"\n", args...)
-			},
-		}, opts, structs)
-	} else {
-		reports, status, runErr = experiments.RunSoakCampaign(ctx, opts, structs, cc)
-	}
-	wall := time.Since(start)
+	meter := cliflags.StartMeter()
+	reports, status, runErr := cf.RunSoak(ctx, opts, structs)
 	if reports == nil {
 		return runErr // campaign setup failure (checkpoint, flags)
 	}
-	if *perfJSON != "" && runErr == nil {
-		if err := appendSoakMeasurement(*perfJSON, opts, wall, before, rc); err != nil {
+	if prof.PerfJSON != "" && runErr == nil {
+		rec := soakMeasurement{Benchmark: "RunSoakCampaign", Lanes: opts.Lanes, Trials: opts.Trials,
+			Scale: opts.Scale, Cost: meter.Cost(), Cache: cf.CacheStats()}
+		if err := prof.Append(rec); err != nil {
 			return err
 		}
 	}
-	if rc != nil {
-		cs := rc.Stats()
-		fmt.Fprintf(out, "result cache: %d hits, %d misses, %d bypasses (%d entries)\n",
-			cs.Hits, cs.Misses, cs.Bypasses, cs.Entries)
-	}
-	if status.Resumed > 0 {
-		fmt.Fprintf(out, "resumed %d finished trials from %s\n", status.Resumed, *checkpoint)
-	}
-	for _, f := range status.Failures {
-		fmt.Fprintf(out, "trial %s failed after %d attempt(s): %s\n", f.ID, f.Attempts, f.Error)
-		if f.Stack != "" {
-			fmt.Fprintf(out, "%s\n", f.Stack)
-		}
-	}
-	fabric.PrintAuditSummary(out, status)
+	cf.PrintStatus(out, status, "trial")
 
 	t := report.New("\nSoak campaign",
 		"Structure", "Strikes", "Recovered/strike", "DUE/strike", "SDC/strike",

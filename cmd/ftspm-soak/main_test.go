@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -67,6 +68,24 @@ func TestRunSoakUsageErrors(t *testing.T) {
 		{"-scale", "-1"},
 		{"-strike", "1.5"},
 		{"-retries", "-1"},
+		// Unknown names.
+		{"-structures", "warp-core"},
+		{"-structures", "ftspm,"},
+		{"-target", "moon"},
+		{"-policy", "shrug"},
+		// Storm knobs without -storm, even at their defaults.
+		{"-storm-span", "5", "-storm-intensity", "0.9"},
+		{"-storm-calm", "0.01"},
+		{"-storm-calm-dwell", "100"},
+		{"-storm-dwell", "100"},
+		{"-storm-hot-blocks", "2"},
+		{"-storm-hot", "0"},
+		{"-storm-thermal", "1"},
+		// Fabric-only flags without -workers.
+		{"-lease", "5s"},
+		{"-audit-seed", "3"},
+		{"-audit-frac", "0.5"},
+		{"-audit-frac", "2", "-workers", "127.0.0.1:1"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})
@@ -170,4 +189,74 @@ func TestRunSoakWarmCache(t *testing.T) {
 	if !bytes.Equal(cb, wb) {
 		t.Fatalf("warm reports diverge from cold:\n got %s\nwant %s", wb, cb)
 	}
+}
+
+// TestRunSoakStructureNames runs the names the reports print, which the
+// structure list must accept back.
+func TestRunSoakStructureNames(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{
+		"-structures", "pure-STT-RAM, DMR-SRAM", "-trials", "1", "-scale", "0.02",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"pure-STT-RAM recovery activity", "DMR-SRAM recovery activity"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in output:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRunSoakPerfJSON pins the keys of the -perfjson record, with and
+// without the result cache's counters.
+func TestRunSoakPerfJSON(t *testing.T) {
+	dir := t.TempDir()
+	perf := filepath.Join(dir, "perf.jsonl")
+	args := []string{"-structures", "ftspm", "-trials", "2", "-scale", "0.02", "-perfjson", perf}
+	if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	args = append(args, "-cache", filepath.Join(dir, "soak.cache"))
+	if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	const keys = "alloc_bytes,allocs,benchmark,gomaxprocs,lanes,scale,trials,wall_ms"
+	want := []string{keys, "alloc_bytes,allocs,benchmark,cache,gomaxprocs,lanes,scale,trials,wall_ms"}
+	if len(lines) != len(want) {
+		t.Fatalf("perfjson lines = %d, want %d:\n%s", len(lines), len(want), data)
+	}
+	for i, line := range lines {
+		if got := recordKeys(t, line); got != want[i] {
+			t.Errorf("record %d keys %s, want %s", i, got, want[i])
+		}
+		var m soakMeasurement
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Benchmark != "RunSoakCampaign" || m.Trials != 2 || m.WallMS <= 0 {
+			t.Errorf("unexpected measurement: %+v", m)
+		}
+	}
+}
+
+// recordKeys returns a -perfjson line's top-level keys, sorted and
+// comma-joined.
+func recordKeys(t *testing.T, line string) string {
+	t.Helper()
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("bad perfjson line %q: %v", line, err)
+	}
+	keys := make([]string, 0, len(rec))
+	for k := range rec {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
 }

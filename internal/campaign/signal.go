@@ -27,13 +27,15 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 
 // usageError marks a flag-validation failure: an invalid value or
 // combination the flag package itself cannot reject.
-type usageError struct{ msg string }
+type usageError struct{ err error }
 
-func (e *usageError) Error() string { return e.msg }
+func (e *usageError) Error() string { return e.err.Error() }
+func (e *usageError) Unwrap() error { return e.err }
 
-// Usagef returns a usage error; ExitCode maps it to exit status 2.
+// Usagef returns a usage error; ExitCode maps it to exit status 2. As
+// with fmt.Errorf, a %w verb keeps the wrapped error matchable.
 func Usagef(format string, args ...any) error {
-	return &usageError{msg: fmt.Sprintf(format, args...)}
+	return &usageError{err: fmt.Errorf(format, args...)}
 }
 
 // IsUsage reports whether err is a flag-validation failure.

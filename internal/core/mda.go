@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"ftspm/internal/memtech"
 	"ftspm/internal/profile"
@@ -50,6 +51,18 @@ func (p Priority) String() string {
 // Valid reports whether p is a known priority.
 func (p Priority) Valid() bool {
 	return p >= PriorityReliability && p <= PriorityEndurance
+}
+
+// ParsePriority resolves a priority's String() name in any case,
+// surrounding whitespace ignored. Unknown names wrap ErrBadPriority.
+func ParsePriority(name string) (Priority, error) {
+	key := strings.TrimSpace(name)
+	for p := PriorityReliability; p <= PriorityEndurance; p++ {
+		if strings.EqualFold(key, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q (reliability, performance, power, endurance)", ErrBadPriority, name)
 }
 
 // Thresholds are the Algorithm 1 budgets ("custom predefined percentage

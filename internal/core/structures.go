@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ftspm/internal/memtech"
 	"ftspm/internal/sim"
@@ -69,6 +70,33 @@ func Structures() []Structure {
 // AllStructures additionally includes the related-work DMR comparator.
 func AllStructures() []Structure {
 	return append(Structures(), StructDMR)
+}
+
+// structureNames lists every accepted structure name: the short
+// aliases the tools have always taken and each String() name.
+// ParseStructure matches them case-insensitively.
+var structureNames = [...]struct {
+	name string
+	s    Structure
+}{
+	{"ftspm", StructFTSPM},
+	{"sram", StructPureSRAM}, {"pure-sram", StructPureSRAM},
+	{"stt", StructPureSTT}, {"stt-ram", StructPureSTT}, {"pure-stt", StructPureSTT}, {"pure-stt-ram", StructPureSTT},
+	{"dmr", StructDMR}, {"duplication", StructDMR}, {"dmr-sram", StructDMR},
+}
+
+// ParseStructure resolves a structure name as every tool and endpoint
+// accepts it: a short alias ("ftspm", "sram", "stt", "dmr") or a
+// String() name, in any case, surrounding whitespace ignored. Unknown
+// names wrap ErrUnknownStructure. It does not allocate on success.
+func ParseStructure(name string) (Structure, error) {
+	key := strings.TrimSpace(name)
+	for _, n := range structureNames {
+		if strings.EqualFold(key, n.name) {
+			return n.s, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q (ftspm, sram, stt, dmr)", ErrUnknownStructure, name)
 }
 
 // Spec is the geometry of one structure.

@@ -87,16 +87,6 @@ type Trailer struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ParseStructure resolves a canonical core.Structure.String() name.
-func ParseStructure(name string) (core.Structure, error) {
-	for _, s := range core.AllStructures() {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q", core.ErrUnknownStructure, name)
-}
-
 // Source re-derives the request's campaign job source. Both sides use
 // it: the coordinator to build the job list it shards, the worker to
 // rebuild — and hash-check — the same source from the wire options.
@@ -113,7 +103,7 @@ func (r Request) Source() (*experiments.JobSource, error) {
 		}
 		structures := make([]core.Structure, len(r.Structures))
 		for i, name := range r.Structures {
-			s, err := ParseStructure(name)
+			s, err := core.ParseStructure(name)
 			if err != nil {
 				return nil, fmt.Errorf("wire: %w", err)
 			}

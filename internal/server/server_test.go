@@ -358,6 +358,33 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
+// TestParseStructure checks that /v1/evaluate resolves every structure
+// name the CLIs take, the names its own reports print included, and
+// rejects an unknown one as a client error naming ErrUnknownStructure.
+func TestParseStructure(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var got core.Structure
+	s.evalFn = func(ctx context.Context, req EvaluateRequest, st core.Structure) (*EvaluateResponse, error) {
+		got = st
+		return &EvaluateResponse{Run: experiments.RunSummary{Workload: req.Workload}}, nil
+	}
+	for name, want := range map[string]core.Structure{
+		"ftspm": core.StructFTSPM, "FTSPM": core.StructFTSPM,
+		"sram": core.StructPureSRAM, "pure-SRAM": core.StructPureSRAM,
+		"stt": core.StructPureSTT, "pure-STT-RAM": core.StructPureSTT, "stt-ram": core.StructPureSTT,
+		"dmr": core.StructDMR, " Dmr ": core.StructDMR,
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/evaluate", fmt.Sprintf(`{"workload":"w","structure":%q}`, name))
+		if resp.StatusCode != http.StatusOK || got != want {
+			t.Errorf("structure %q: code %d, structure %v, want 200 and %v\n%s", name, resp.StatusCode, got, want, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/evaluate", `{"workload":"w","structure":"quantum"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), core.ErrUnknownStructure.Error()) {
+		t.Errorf("structure quantum: code %d, want 400 naming ErrUnknownStructure\n%s", resp.StatusCode, body)
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	gatedEval(s)
@@ -405,6 +432,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"sweep resume unnamed", "/v1/sweep", `{"resume":true}`},
 		{"soak resume unnamed", "/v1/soak", `{"resume":true}`},
 		{"soak bad structure", "/v1/soak", `{"structures":["quantum"]}`},
+		{"map bad structure", "/v1/map", `{"structures":["ftspm","quantum"]}`},
 		{"sweep bad checkpoint", "/v1/sweep", `{"checkpoint":"../evil"}`},
 		{"soak bad checkpoint", "/v1/soak", `{"checkpoint":"a/b"}`},
 	}
@@ -432,25 +460,5 @@ func TestResolveCheckpoint(t *testing.T) {
 	}
 	if got, err := resolveCheckpoint("", "fallback"); err != nil || got != "fallback" {
 		t.Errorf("empty checkpoint: got %q, %v; want fallback", got, err)
-	}
-}
-
-func TestParseStructure(t *testing.T) {
-	cases := map[string]core.Structure{
-		"ftspm":     core.StructFTSPM,
-		"FTSPM":     core.StructFTSPM,
-		"sram":      core.StructPureSRAM,
-		"pure-SRAM": core.StructPureSRAM,
-		"stt":       core.StructPureSTT,
-		"dmr":       core.StructDMR,
-	}
-	for name, want := range cases {
-		got, err := ParseStructure(name)
-		if err != nil || got != want {
-			t.Errorf("ParseStructure(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseStructure("quantum"); !errors.Is(err, core.ErrUnknownStructure) {
-		t.Errorf("ParseStructure(quantum): %v, want ErrUnknownStructure", err)
 	}
 }
