@@ -166,13 +166,13 @@ func openCheckpoint[R any](path, hash string, resume bool) (*journal, map[string
 	if resume {
 		return resumeCheckpoint[R](path, hash)
 	}
-	if _, err := os.Stat(path); err == nil {
-		return nil, nil, fmt.Errorf("%w: %s", ErrCheckpointExists, path)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
-	}
+	// O_EXCL is the only existence check: a separate stat first would
+	// race with a concurrent campaign creating the same file.
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return nil, nil, fmt.Errorf("%w: %s", ErrCheckpointExists, path)
+		}
 		return nil, nil, err
 	}
 	jl := &journal{f: f, version: journalVersion}

@@ -8,6 +8,7 @@ package spm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"ftspm/internal/ecc"
@@ -159,6 +160,14 @@ type Region struct {
 	words  []ecc.Bits // encoded codewords, one per 32-bit data word
 	golden []uint32   // last written payloads, for audit classification
 	writes []uint64   // per-word write counters (endurance analysis)
+	// dirty marks, one bit per word, the words that may be corrupt;
+	// nDirty counts its set bits. The invariant (DESIGN.md §11,
+	// "Clean-word fast path"): a clear bit means words[w] ==
+	// codec.Encode(golden[w]), so the word decodes Clean to its golden
+	// payload and reads, scrubs and audits skip the codec for it.
+	// Every site that mutates words keeps the invariant.
+	dirty  []uint64
+	nDirty int
 	stats  RegionStats
 	// wear, when non-nil, makes writes stochastically unreliable
 	// (STT-RAM write failures and wear-out; see WearConfig).
@@ -224,6 +233,7 @@ func NewRegion(kind RegionKind, sizeBytes int) (*Region, error) {
 		words:  make([]ecc.Bits, n),
 		golden: make([]uint32, n),
 		writes: make([]uint64, n),
+		dirty:  make([]uint64, (n+63)/64),
 	}
 	// Power-on state: every word holds an encoded zero so decodes are
 	// consistent from the start.
@@ -307,8 +317,15 @@ func (r *Region) ReadChecked(wordIdx, n int) ([]uint32, memtech.Cycles, ReadOutc
 		r.readBuf = make([]uint32, n)
 	}
 	out := r.readBuf[:n]
-	for i := 0; i < n; i++ {
+	// A clean word would decode Clean to its golden payload, so only
+	// dirty words go through the codec (and none when the whole region
+	// is clean).
+	copy(out, r.golden[wordIdx:wordIdx+n])
+	for i := 0; r.nDirty > 0 && i < n; i++ {
 		w := wordIdx + i
+		if !r.isDirty(w) {
+			continue
+		}
 		data, status := r.codec.Decode(r.words[w])
 		switch status {
 		case ecc.Corrected:
@@ -395,6 +412,7 @@ func (r *Region) WriteChecked(wordIdx int, values []uint32) (memtech.Cycles, Wri
 		r.words[w] = stored
 		r.golden[w] = v
 		r.writes[w]++
+		r.setDirty(w, stored != enc)
 		if stored != enc {
 			oc.Failed = append(oc.Failed, w)
 		}
@@ -414,13 +432,37 @@ func (r *Region) WriteChecked(wordIdx int, values []uint32) (memtech.Cycles, Wri
 }
 
 // store writes an encoded codeword into the backing array, honouring
-// any permanently-stuck cells. Every store must go through here once a
-// word may hold stuck cells.
+// any permanently-stuck cells, and re-derives the word's dirty bit.
+// Every store must go through here once a word may hold stuck cells.
 func (r *Region) store(w int, code ecc.Bits) {
 	if r.stuckMask != nil {
 		code = faults.ApplyStuckAt(code, r.stuckMask[w], r.stuckVal[w])
 	}
 	r.words[w] = code
+	r.rederive(w)
+}
+
+// rederive sets the word's dirty bit exactly when its stored codeword
+// differs from the encoding of its golden payload.
+func (r *Region) rederive(w int) {
+	r.setDirty(w, r.words[w] != r.codec.Encode(ecc.BitsFromUint64(uint64(r.golden[w]))))
+}
+
+// isDirty reports whether the word may be corrupt.
+func (r *Region) isDirty(w int) bool { return r.dirty[w>>6]&(1<<(w&63)) != 0 }
+
+// setDirty sets or clears the word's dirty bit, keeping nDirty equal
+// to the bitmap's population count.
+func (r *Region) setDirty(w int, dirty bool) {
+	if r.isDirty(w) == dirty {
+		return
+	}
+	r.dirty[w>>6] ^= 1 << (w & 63)
+	if dirty {
+		r.nDirty++
+	} else {
+		r.nDirty--
+	}
 }
 
 // setStuck freezes one cell of the word at val, materializing the
@@ -433,6 +475,7 @@ func (r *Region) setStuck(w, bit int, val bool) {
 	r.stuckMask[w] = r.stuckMask[w].Set(bit, true)
 	r.stuckVal[w] = r.stuckVal[w].Set(bit, val)
 	r.words[w] = faults.ApplyStuckAt(r.words[w], r.stuckMask[w], r.stuckVal[w])
+	r.rederive(w)
 }
 
 // EnableWear attaches a write-unreliability model to the region with a
@@ -467,6 +510,7 @@ func (r *Region) ApplyStrikeDelta(wordIdx int, delta uint64) error {
 		return nil
 	}
 	r.words[wordIdx] = r.words[wordIdx].Xor(ecc.BitsFromUint64(delta))
+	r.setDirty(wordIdx, true)
 	return nil
 }
 
@@ -594,6 +638,7 @@ func (r *Region) InjectStrike(rng *rand.Rand, wordIdx, multiplicity int) (bool, 
 		return false, nil
 	}
 	r.words[wordIdx] = faults.InjectCluster(rng, r.words[wordIdx], r.codec.CodeBits(), multiplicity)
+	r.setDirty(wordIdx, true)
 	return true, nil
 }
 
@@ -612,62 +657,77 @@ func (r *Region) Scrub() (repaired, uncorrectable int, cycles memtech.Cycles) {
 // ScrubWords is Scrub surfacing the absolute word indices of the
 // uncorrectable words it found, so the controller can recover them
 // (DRAM re-fetch for clean blocks, checkpoint restore otherwise).
-// Retired words are skipped: their cells are out of service.
+// Retired words are skipped: their cells are out of service. The
+// whole-region read is charged, but only dirty words are decoded: a
+// clean word decodes Clean and would need no action.
 func (r *Region) ScrubWords() (repaired int, detected []int, cycles memtech.Cycles) {
 	cycles = r.bank.AccessLatency(len(r.words)*memtech.WordBytes, false)
 	r.stats.ReadAccesses++
 	r.stats.WordsRead += uint64(len(r.words))
 	r.stats.Energy += r.bank.AccessEnergy(len(r.words)*memtech.WordBytes, false)
-	for i, w := range r.words {
-		if r.IsRetired(i) {
-			continue
-		}
-		data, status := r.codec.Decode(w)
-		switch status {
-		case ecc.Corrected:
-			r.store(i, r.codec.Encode(data))
-			r.writes[i]++
-			repaired++
-			r.stats.CorrectedErrors++
-			cycles += r.bank.AccessLatency(memtech.WordBytes, true)
-			r.stats.Energy += r.bank.AccessEnergy(memtech.WordBytes, true)
-			r.stats.WordsWritten++
-		case ecc.Detected:
-			detected = append(detected, i)
-			r.stats.DetectedErrors++
+	for base, set := range r.dirty {
+		for ; set != 0; set &= set - 1 {
+			i := base<<6 + bits.TrailingZeros64(set)
+			if r.IsRetired(i) {
+				continue
+			}
+			data, status := r.codec.Decode(r.words[i])
+			switch status {
+			case ecc.Corrected:
+				r.store(i, r.codec.Encode(data))
+				r.writes[i]++
+				repaired++
+				r.stats.CorrectedErrors++
+				cycles += r.bank.AccessLatency(memtech.WordBytes, true)
+				r.stats.Energy += r.bank.AccessEnergy(memtech.WordBytes, true)
+				r.stats.WordsWritten++
+			case ecc.Detected:
+				detected = append(detected, i)
+				r.stats.DetectedErrors++
+			}
 		}
 	}
 	return repaired, detected, cycles
 }
 
-// Audit decodes every word and classifies it against the last written
-// payload, without charging energy or disturbing the stats: the
-// fault-injection campaign's ground-truth check.
+// Audit classifies every live word against the last written payload,
+// without charging energy or disturbing the stats: the fault-injection
+// campaign's ground-truth check. Clean words are counted Benign in
+// bulk; only dirty words are decoded.
 func (r *Region) Audit() faults.Tally {
 	var t faults.Tally
-	for i, w := range r.words {
-		if r.IsRetired(i) {
-			// Retired words hold dead cells, not live data; counting
-			// them would charge degradation twice (it already shows up
-			// as RetiredWords in the recovery stats).
-			continue
+	// Retired words hold dead cells, not live data; counting them would
+	// charge degradation twice (it already shows up as RetiredWords in
+	// the recovery stats).
+	t.Benign = len(r.words) - r.nDirty
+	for i, ret := range r.retired {
+		if ret && !r.isDirty(i) {
+			t.Benign--
 		}
-		data, status := r.codec.Decode(w)
-		intact := uint32(data.Uint64()) == r.golden[i]
-		switch status {
-		case ecc.Corrected:
-			if intact {
-				t.Add(faults.DRE)
-			} else {
-				t.Add(faults.SDC)
+	}
+	for base, set := range r.dirty {
+		for ; set != 0; set &= set - 1 {
+			i := base<<6 + bits.TrailingZeros64(set)
+			if r.IsRetired(i) {
+				continue
 			}
-		case ecc.Detected:
-			t.Add(faults.DUE)
-		default:
-			if intact {
-				t.Add(faults.Benign)
-			} else {
-				t.Add(faults.SDC)
+			data, status := r.codec.Decode(r.words[i])
+			intact := uint32(data.Uint64()) == r.golden[i]
+			switch status {
+			case ecc.Corrected:
+				if intact {
+					t.Add(faults.DRE)
+				} else {
+					t.Add(faults.SDC)
+				}
+			case ecc.Detected:
+				t.Add(faults.DUE)
+			default:
+				if intact {
+					t.Add(faults.Benign)
+				} else {
+					t.Add(faults.SDC)
+				}
 			}
 		}
 	}

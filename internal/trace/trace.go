@@ -12,7 +12,7 @@ import (
 )
 
 // Op is the direction of a memory access.
-type Op int
+type Op uint8
 
 // Access directions.
 const (
@@ -37,7 +37,7 @@ func (o Op) Valid() bool { return o == Read || o == Write }
 
 // Space distinguishes instruction fetches from data accesses; the paper's
 // platform has separate instruction and data SPMs (Table IV).
-type Space int
+type Space uint8
 
 // Address spaces.
 const (
@@ -77,7 +77,7 @@ type Access struct {
 }
 
 // Kind discriminates trace events.
-type Kind int
+type Kind uint8
 
 // Event kinds.
 const (

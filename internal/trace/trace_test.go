@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleEvents() []Event {
@@ -181,6 +182,15 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		if err := r.Err(); !errors.Is(err, ErrBadTraceLine) {
 			t.Errorf("%q: err = %v, want ErrBadTraceLine", in, err)
 		}
+	}
+}
+
+// TestEventSize pins the in-memory event footprint: a sweep holds every
+// workload's materialised trace at once, so each byte per event is paid
+// millions of times. Kind, Op and Space are one byte each.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 40 {
+		t.Errorf("sizeof(Event) = %d bytes, want <= 40", n)
 	}
 }
 
